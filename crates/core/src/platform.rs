@@ -402,14 +402,7 @@ impl Platform {
         let mut fabric = self.build_fabric(plan, cfg)?;
         let stream = plan.generate();
         let report = fabric.run(&stream)?;
-        // Counters *and* merged timer summaries land in the platform
-        // sink (summaries via `Telemetry::record_summary`, so fleet
-        // latency statistics no longer stop at the fabric report).
-        self.telemetry.absorb_report(&report.telemetry);
-        if !report.alarms.is_empty() {
-            self.telemetry
-                .add("serve.alarms", report.alarms.len() as u64);
-        }
+        self.absorb_fabric_run(&report, None);
         Ok(report)
     }
 
@@ -433,11 +426,7 @@ impl Platform {
         let mut fabric = self.build_fabric(plan, cfg)?;
         let stream = plan.generate();
         let report = fabric.run_live(&stream, exec)?;
-        self.telemetry.absorb_report(&report.fabric.telemetry);
-        if !report.fabric.alarms.is_empty() {
-            self.telemetry
-                .add("serve.alarms", report.fabric.alarms.len() as u64);
-        }
+        self.absorb_fabric_run(&report.fabric, None);
         Ok(report)
     }
 
@@ -465,12 +454,7 @@ impl Platform {
         let mut fabric = self.build_fabric(plan, cfg)?;
         let stream = plan.generate();
         let (report, records) = fabric.run_migrating(&stream, specs)?;
-        self.telemetry.absorb_report(&report.telemetry);
-        self.telemetry.add("serve.migrations", records.len() as u64);
-        if !report.alarms.is_empty() {
-            self.telemetry
-                .add("serve.alarms", report.alarms.len() as u64);
-        }
+        self.absorb_fabric_run(&report, Some(records.len()));
         Ok((report, records))
     }
 
@@ -495,13 +479,24 @@ impl Platform {
         let mut fabric = self.build_fabric(plan, cfg)?;
         let stream = plan.generate();
         let (report, records) = fabric.run_live_migrating(&stream, exec, specs)?;
-        self.telemetry.absorb_report(&report.fabric.telemetry);
-        self.telemetry.add("serve.migrations", records.len() as u64);
-        if !report.fabric.alarms.is_empty() {
-            self.telemetry
-                .add("serve.alarms", report.fabric.alarms.len() as u64);
-        }
+        self.absorb_fabric_run(&report.fabric, Some(records.len()));
         Ok((report, records))
+    }
+
+    /// Land a fabric run in this platform's telemetry: counters *and*
+    /// merged timer summaries (summaries via `Telemetry::record_summary`,
+    /// so fleet latency statistics do not stop at the fabric report),
+    /// the migration count when the run executed migrations, and the
+    /// alarm count when detectors fired.
+    fn absorb_fabric_run(&self, report: &tinymlops_serve::FabricReport, migrations: Option<usize>) {
+        self.telemetry.absorb_report(&report.telemetry);
+        if let Some(migrations) = migrations {
+            self.telemetry.add("serve.migrations", migrations as u64);
+        }
+        if !report.alarms.is_empty() {
+            self.telemetry
+                .add("serve.alarms", report.alarms.len() as u64);
+        }
     }
 }
 

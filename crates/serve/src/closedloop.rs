@@ -34,14 +34,11 @@
 //!   conservation laws, like [`crate::ExecMode::Wall`].
 
 use crate::clock::{Clock, WallClock};
-use crate::fabric::{FabricNode, FabricReport, RetryStats, ServeFabric};
-use crate::fault::{
-    retryable, schedule_retry, NodeFaults, RetryBudget, RetryDecision, RetryPolicy,
-};
-use crate::observer::NodeObserver;
+use crate::coordinator::FleetPort;
+use crate::fabric::{route, EngineSpec, FabricReport, RetryStats, ServeFabric, SimPort};
+use crate::fault::{retryable, schedule_retry, RetryBudget, RetryDecision, RetryPolicy};
 use crate::request::{Completion, Disposition, Request, RequestId, TenantId};
 use crate::shard::NodeId;
-use crate::sim::{ServeEngine, ServePlane};
 use crate::ServeError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -421,45 +418,16 @@ impl ServeFabric {
             return Err(ServeError::NoFamilies);
         }
         let refunded_before = self.refunded_total();
-        let serve_cfg = self.serve_config().clone();
-        let observe_cfg = self.observe_config().clone();
-        let fault_plan = self.fault_plan().clone();
+        let engines = EngineSpec {
+            completion_tap: true,
+            ..self.engine_spec()
+        };
         let mut stats = ClosedLoopStats::default();
         let mut trace: Vec<Request> = Vec::new();
 
         let per_node: Vec<(NodeId, crate::stats::ServeStats)> = {
-            let (nodes, shard_router, assignments, _traffic) = self.split_live();
-            struct Ctx<'n> {
-                id: NodeId,
-                plane: &'n mut ServePlane,
-                engine: ServeEngine<'n>,
-            }
-            let mut ctxs: Vec<Ctx> = nodes
-                .iter_mut()
-                .map(|node| {
-                    let FabricNode {
-                        id,
-                        plane,
-                        telemetry,
-                    } = node;
-                    let mut engine = ServeEngine::new(serve_cfg.clone(), Some(&*telemetry));
-                    if observe_cfg.enabled {
-                        engine.set_observer(Some(Box::new(NodeObserver::new(
-                            *id,
-                            observe_cfg.clone(),
-                        ))));
-                    }
-                    engine.set_faults(NodeFaults::for_node(&fault_plan, *id, false));
-                    engine.set_completion_tap(true);
-                    Ctx {
-                        id: *id,
-                        plane,
-                        engine,
-                    }
-                })
-                .collect();
-            let index: BTreeMap<NodeId, usize> =
-                ctxs.iter().enumerate().map(|(i, c)| (c.id, i)).collect();
+            let (nodes, shard_router, assignments) = self.split_routing();
+            let mut port = SimPort::new(nodes, &engines);
 
             let mut events: BTreeMap<(u64, u64), IssueEvent> = BTreeMap::new();
             let mut seq: u64 = 0;
@@ -491,7 +459,8 @@ impl ServeFabric {
 
             loop {
                 let next_issue = events.keys().next().copied();
-                let next_timer = ctxs
+                let next_timer = port
+                    .ctxs
                     .iter()
                     .enumerate()
                     .filter_map(|(i, c)| c.engine.next_timer_us().map(|t| (t, i)))
@@ -508,21 +477,15 @@ impl ServeFabric {
                 };
                 let completions: Vec<Completion> = if fire_timer {
                     let (t, node) = next_timer.expect("matched above");
-                    let ctx = &mut ctxs[node];
+                    let ctx = &mut port.ctxs[node];
                     ctx.engine.run_timers_through(ctx.plane, t, true);
                     ctx.engine.take_completions()
                 } else {
                     let key = next_issue.expect("matched above");
                     let issue = events.remove(&key).expect("peeked");
                     let request = issue.request;
-                    let home = match assignments.get(&request.tenant) {
-                        Some((node, _)) => *node,
-                        None => shard_router.assign(request.tenant, &request.model),
-                    };
-                    let ctx = &mut ctxs[index[&home]];
-                    ctx.engine
-                        .run_timers_through(ctx.plane, request.arrival_us, true);
-                    let _ = ctx.engine.on_arrival(ctx.plane, &request);
+                    let home = route(shard_router, assignments, request.tenant, &request.model);
+                    port.deliver(home, &request);
                     if issue.attempt == 0 {
                         stats.issued += 1;
                     } else {
@@ -538,7 +501,7 @@ impl ServeFabric {
                         },
                     );
                     trace.push(request);
-                    ctx.engine.take_completions()
+                    port.node(home).engine.take_completions()
                 };
                 for completion in &completions {
                     on_completion(
@@ -557,12 +520,7 @@ impl ServeFabric {
                 }
             }
             debug_assert!(pending.is_empty(), "every delivery resolves exactly once");
-            ctxs.into_iter()
-                .map(|ctx| {
-                    let Ctx { id, plane, engine } = ctx;
-                    (id, engine.finish(plane))
-                })
-                .collect()
+            port.finish()
         };
         let fabric = self.assemble_report(per_node, refunded_before, Vec::new());
         stats.finalize();
@@ -598,9 +556,10 @@ impl ServeFabric {
             return Err(ServeError::NoFamilies);
         }
         let refunded_before = self.refunded_total();
-        let serve_cfg = self.serve_config().clone();
-        let observe_cfg = self.observe_config().clone();
-        let fault_plan = self.fault_plan().clone();
+        let engines = EngineSpec {
+            completion_tap: true,
+            ..self.engine_spec()
+        };
         let wall = WallClock::new();
         let start = std::time::Instant::now();
 
@@ -611,7 +570,7 @@ impl ServeFabric {
             .max(1);
 
         let (per_node, mut stats) = {
-            let (nodes, shard_router, assignments, _traffic) = self.split_live();
+            let (nodes, shard_router, assignments) = self.split_routing();
             let queues: Vec<IngestQueue<Ingest>> = nodes
                 .iter()
                 .map(|_| IngestQueue::new(queue_capacity))
@@ -624,13 +583,7 @@ impl ServeFabric {
             let home_of: Vec<usize> = plan
                 .clients
                 .iter()
-                .map(|c| {
-                    let node = match assignments.get(&c.tenant) {
-                        Some((node, _)) => *node,
-                        None => shard_router.assign(c.tenant, &c.model),
-                    };
-                    index_of[&node]
-                })
+                .map(|c| index_of[&route(shard_router, assignments, c.tenant, &c.model)])
                 .collect();
             let mut txs = Vec::with_capacity(shards);
             let mut rxs = Vec::with_capacity(shards);
@@ -641,35 +594,17 @@ impl ServeFabric {
             }
             let sink = CompletionSink { senders: txs };
 
-            type JoinOutcome = std::thread::Result<Result<crate::stats::ServeStats, ServeError>>;
+            type JoinOutcome = std::thread::Result<crate::stats::ServeStats>;
             let (node_results, shard_stats): (Vec<JoinOutcome>, Vec<ClosedLoopStats>) =
                 std::thread::scope(|s| {
                     let node_handles: Vec<_> = nodes
                         .iter_mut()
                         .zip(&queues)
                         .map(|(node, queue)| {
-                            let serve_cfg = &serve_cfg;
-                            let wall = &wall;
-                            let observer = observe_cfg
-                                .enabled
-                                .then(|| Box::new(NodeObserver::new(node.id, observe_cfg.clone())));
-                            let faults = NodeFaults::for_node(&fault_plan, node.id, false);
-                            let plane = &mut node.plane;
-                            let telemetry = &node.telemetry;
+                            let (engines, wall) = (&engines, &wall);
                             let sink = sink.clone();
                             s.spawn(move || {
-                                node_worker(
-                                    plane,
-                                    telemetry,
-                                    serve_cfg,
-                                    observer,
-                                    faults,
-                                    queue,
-                                    ExecMode::Wall,
-                                    wall,
-                                    false,
-                                    Some(sink),
-                                )
+                                node_worker(node, engines, queue, ExecMode::Wall, wall, Some(sink))
                             })
                         })
                         .collect();
@@ -704,8 +639,7 @@ impl ServeFabric {
             let mut per_node = Vec::with_capacity(node_results.len());
             for (node_id, outcome) in node_ids.into_iter().zip(node_results) {
                 match outcome {
-                    Ok(Ok(node_stats)) => per_node.push((node_id, node_stats)),
-                    Ok(Err(err)) => return Err(err),
+                    Ok(node_stats) => per_node.push((node_id, node_stats)),
                     Err(payload) => std::panic::resume_unwind(payload),
                 }
             }

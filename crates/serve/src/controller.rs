@@ -23,8 +23,8 @@
 //! **Determinism is the design constraint.** `tick` is a pure function
 //! of (logical time, node samples, topology view, ledger, controller
 //! state): no wall clock, no randomness, integer/stable-sort arithmetic
-//! only. The sim loop and the live feeder call it at the same logical
-//! instants with bit-identical samples under [`crate::ExecMode::Replay`],
+//! only. The fleet coordinator calls it at the same logical instants on
+//! both backends, with bit-identical samples under [`crate::ExecMode::Replay`],
 //! so controller decisions — and therefore reports and migration
 //! records — are bit-identical across backends. A disabled controller
 //! installs nothing (no tap, no ticks), keeping runs byte-identical to

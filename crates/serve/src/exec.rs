@@ -27,39 +27,39 @@
 //!   but the conservation laws (served + shed = arrivals, refunds match
 //!   downstream sheds, quota balances) still hold exactly.
 //!
-//! **Live migration** rides the same queues: a scheduled
-//! [`crate::MigrationSpec`] makes the feeder inject a drain control
-//! entry into the source node's queue (in stream position, so the drain
-//! set is exactly what the simulator's would be), wait for the node
-//! thread to splice its batcher and detach the account, then hand the
-//! sealed handoff package (account + spliced work) to the destination's
-//! queue before any of the tenant's rerouted traffic. Replay-mode migrations
-//! are bit-identical to [`crate::ServeFabric::run_migrating`]; wall-mode
-//! migrations additionally splice the tenant's not-yet-ingested arrivals
-//! out of the source's [`IngestQueue`] ([`IngestQueue::splice`]) so even
+//! **Fleet events** (live migrations, injected crashes, controller
+//! ticks) are decided by the same fleet coordinator the simulator runs;
+//! the feeder is its port. Each node-side step is a control entry
+//! on the node's queue, in stream position, so the node thread executes
+//! it after exactly the prefix of its traffic the simulator's node would
+//! have seen; where the coordinator needs an answer (a sealed handoff
+//! package, an evacuation, a control sample) the entry carries a reply
+//! channel. Replay-mode migrations are bit-identical to
+//! [`crate::ServeFabric::run_migrating`]; wall-mode migrations
+//! additionally splice the tenant's not-yet-ingested arrivals out of the
+//! source's [`IngestQueue`] ([`IngestQueue::splice`]) so even
 //! queued-but-unseen work follows the account without dropping or
 //! double-billing.
 
 use crate::clock::{Clock, WallClock};
-use crate::controller::{ControlAction, ControlSample, ControllerView, FleetController};
+use crate::controller::ControlSample;
+use crate::coordinator::FleetPort;
 use crate::fabric::{
-    absorb_failover, adopt_destination, drain_source, merge_triggers, FabricReport, FleetTrigger,
+    absorb_failover, adopt_destination, drain_source, EngineSpec, FabricNode, FabricReport,
     HandoffPackage, MigrationPhase, MigrationRecord, MigrationSpec, ServeFabric,
 };
-use crate::fault::{plan_evacuation, FailoverPackage, NodeFaults};
-use crate::observer::NodeObserver;
-use crate::request::{Request, TenantId};
+use crate::fault::FailoverPackage;
+use crate::request::{Request, ShedReason, TenantId};
 use crate::shard::NodeId;
-use crate::sim::{ServeConfig, ServeEngine, ServePlane};
+use crate::sim::{ServeEngine, ServePlane};
 use crate::stats::ServeStats;
 use crate::ServeError;
 use crossbeam::queue::ArrayQueue;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
-use tinymlops_observe::Telemetry;
 
 /// How the live executor treats time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,7 +147,7 @@ pub(crate) enum Ingest {
     /// One routed inference request.
     Arrival(Request),
     /// Migration source side: drain the tenant at `at_us` and send the
-    /// sealed handoff package back to the coordinating feeder.
+    /// sealed handoff package back to the feeder.
     Drain {
         tenant: TenantId,
         from: NodeId,
@@ -164,8 +164,8 @@ pub(crate) enum Ingest {
     /// Injected [`crate::FaultKind::Crash`]: tear this node down at
     /// `at_us` — resolve queued and in-flight work as refunded failover
     /// sheds, send the evacuated accounts (plus orphaned requests of
-    /// tenants that had already migrated away) back to the coordinating
-    /// feeder, and exit the worker loop.
+    /// tenants that had already migrated away) back to the feeder, and
+    /// exit the worker loop.
     Crash {
         node: NodeId,
         at_us: u64,
@@ -183,7 +183,7 @@ pub(crate) enum Ingest {
     /// off that peer with work still dispatched there).
     Refund { tenant: TenantId, at_us: u64 },
     /// Controller tick: advance to `at_us`, sample-and-reset the control
-    /// tap, and reply to the coordinating feeder. Rides in stream
+    /// tap, and reply to the feeder. Rides in stream
     /// position, so the sampled counters are bit-identical to the
     /// simulator's tick at the same logical instant.
     Sample {
@@ -250,17 +250,6 @@ pub struct IngestQueue<T> {
     not_full: Condvar,
     sleeping_consumers: AtomicUsize,
     sleeping_producers: AtomicUsize,
-    /// One-shot wake latches: set when a hot-path wake is delivered,
-    /// cleared by the sleeper as it leaves its wait loop. While set, a
-    /// wakeup is already in flight to a registered sleeper (condvars do
-    /// not lose notifications delivered to a waiter), so further hot-path
-    /// ops skip the lock + notify entirely — on a single core the woken
-    /// thread may not be scheduled for a while, and without the latch
-    /// every op in that window would pay the full notify cost. The
-    /// close/clear/splice paths and the consumer's empty-transition wake
-    /// bypass the latches (they always lock + notify).
-    consumer_wake_pending: AtomicBool,
-    producer_wake_pending: AtomicBool,
 }
 
 impl<T> IngestQueue<T> {
@@ -278,8 +267,6 @@ impl<T> IngestQueue<T> {
             not_full: Condvar::new(),
             sleeping_consumers: AtomicUsize::new(0),
             sleeping_producers: AtomicUsize::new(0),
-            consumer_wake_pending: AtomicBool::new(false),
-            producer_wake_pending: AtomicBool::new(false),
         }
     }
 
@@ -307,7 +294,6 @@ impl<T> IngestQueue<T> {
                         guard = self.not_full.wait(guard).unwrap();
                     }
                     self.sleeping_producers.fetch_sub(1, Ordering::SeqCst);
-                    self.producer_wake_pending.store(false, Ordering::Relaxed);
                     drop(guard);
                     if self.closed.load(Ordering::SeqCst) {
                         return false;
@@ -330,17 +316,9 @@ impl<T> IngestQueue<T> {
             while self.ring.pop().is_some() {}
             return false;
         }
-        if self.sleeping_consumers.load(Ordering::Relaxed) > 0
-            && !self.consumer_wake_pending.load(Ordering::Relaxed)
-        {
+        if self.sleeping_consumers.load(Ordering::Relaxed) > 0 {
             let _guard = self.park.lock().unwrap();
-            // Latch under the lock: registration, deregistration and the
-            // sleeper's latch-clear all happen under `park`, so a latch
-            // set here is provably paired with a delivered notification.
-            if self.sleeping_consumers.load(Ordering::Relaxed) > 0 {
-                self.consumer_wake_pending.store(true, Ordering::Relaxed);
-                self.not_empty.notify_all();
-            }
+            self.not_empty.notify_all();
         }
         true
     }
@@ -372,22 +350,13 @@ impl<T> IngestQueue<T> {
                 let left = self.ring.len();
                 if left == 0 {
                     // The pop that empties the ring always issues the
-                    // fenced wake — this is the liveness backstop that
-                    // bypasses the latch below.
+                    // fenced wake — the liveness backstop.
                     self.wake_producers();
                 } else if left <= self.wake_mark
                     && self.sleeping_producers.load(Ordering::Relaxed) > 0
-                    && !self.producer_wake_pending.load(Ordering::Relaxed)
                 {
                     let _guard = self.park.lock().unwrap();
-                    // Latch under the lock (see `push` for the pairing
-                    // argument): a set latch implies the notification
-                    // reached a registered waiter, which clears it on
-                    // leaving its wait loop.
-                    if self.sleeping_producers.load(Ordering::Relaxed) > 0 {
-                        self.producer_wake_pending.store(true, Ordering::Relaxed);
-                        self.not_full.notify_all();
-                    }
+                    self.not_full.notify_all();
                 }
                 return Popped::Item(item);
             }
@@ -419,7 +388,6 @@ impl<T> IngestQueue<T> {
                         let now = wall.now_us();
                         if now >= t {
                             self.sleeping_consumers.fetch_sub(1, Ordering::SeqCst);
-                            self.consumer_wake_pending.store(false, Ordering::Relaxed);
                             drop(guard);
                             return Popped::TimerDue;
                         }
@@ -433,7 +401,6 @@ impl<T> IngestQueue<T> {
                 }
             }
             self.sleeping_consumers.fetch_sub(1, Ordering::SeqCst);
-            self.consumer_wake_pending.store(false, Ordering::Relaxed);
         }
     }
 
@@ -632,38 +599,36 @@ impl<T> Drop for CloseOnExit<'_, T> {
     }
 }
 
-/// One node thread: drain the ingest queue through the shared engine.
-/// Returns `Ok` with honest statistics even when the node is torn down
-/// mid-run by an injected crash (the evacuation resolves everything it
-/// owed first); only a genuine panic loses state.
+/// One node thread: drain the ingest queue through the node's engine
+/// (built from `engines`). Returns honest statistics even when the node
+/// is torn down mid-run by an injected crash (the evacuation resolves
+/// everything it owed first); only a genuine panic loses state.
 ///
-/// With a `completions` sink the engine's completion tap is armed and
-/// every resolution (served, shed, failover) is forwarded as it happens
-/// — the response leg of the closed-loop drivers
-/// ([`crate::closedloop`]). The tap is pure observation, so a sink
-/// never changes a serving decision.
-#[allow(clippy::too_many_arguments)] // internal worker plumbing, not an API
+/// With a `completions` sink (and `engines.completion_tap` armed) every
+/// resolution (served, shed, failover) is forwarded as it happens — the
+/// response leg of the closed-loop drivers ([`crate::closedloop`]). The
+/// tap is pure observation, so a sink never changes a serving decision.
 pub(crate) fn node_worker(
-    plane: &mut ServePlane,
-    telemetry: &Telemetry,
-    serve_cfg: &ServeConfig,
-    observer: Option<Box<NodeObserver>>,
-    faults: Option<NodeFaults>,
+    node: &mut FabricNode,
+    engines: &EngineSpec,
     queue: &IngestQueue<Ingest>,
     mode: ExecMode,
     wall: &WallClock,
-    control: bool,
     completions: Option<crate::closedloop::CompletionSink>,
-) -> Result<ServeStats, ServeError> {
+) -> ServeStats {
     let _close_guard = CloseOnExit(queue);
-    if plane.family_names().is_empty() {
-        return Err(ServeError::NoFamilies);
-    }
-    let mut engine = ServeEngine::new(serve_cfg.clone(), Some(telemetry));
-    engine.set_observer(observer);
-    engine.set_faults(faults);
-    engine.set_control_tap(control);
-    engine.set_completion_tap(completions.is_some());
+    let FabricNode {
+        id,
+        plane,
+        telemetry,
+    } = node;
+    let mut engine = engines.build(*id, telemetry);
+    // The instant a control entry stamped `logical` executes at: its
+    // stream time in replay, real elapsed time in wall mode.
+    let at = |logical: u64| match mode {
+        ExecMode::Replay => logical,
+        ExecMode::Wall => wall.now_us(),
+    };
     let flush = |engine: &mut ServeEngine<'_>, sink: &Option<crate::closedloop::CompletionSink>| {
         if let Some(sink) = sink {
             for completion in engine.take_completions() {
@@ -676,17 +641,11 @@ pub(crate) fn node_worker(
     let handle = |engine: &mut ServeEngine<'_>, plane: &mut ServePlane, item: Ingest| -> bool {
         match item {
             Ingest::Arrival(mut request) => {
-                let now = match mode {
-                    ExecMode::Replay => request.arrival_us,
-                    ExecMode::Wall => {
-                        // Stamped at the gateway door: latency and batch
-                        // deadlines measure real elapsed time from here.
-                        let now = wall.now_us();
-                        request.arrival_us = now;
-                        now
-                    }
-                };
-                engine.run_timers_through(plane, now, true);
+                // Wall mode stamps the arrival at the gateway door:
+                // latency and batch deadlines measure real elapsed time
+                // from here.
+                request.arrival_us = at(request.arrival_us);
+                engine.run_timers_through(plane, request.arrival_us, true);
                 let _ = engine.on_arrival(plane, &request);
             }
             Ingest::Drain {
@@ -696,10 +655,7 @@ pub(crate) fn node_worker(
                 at_us,
                 reply,
             } => {
-                let now = match mode {
-                    ExecMode::Replay => at_us,
-                    ExecMode::Wall => wall.now_us(),
-                };
+                let now = at(at_us);
                 engine.run_timers_through(plane, now, true);
                 if let Some(package) = drain_source(engine, plane, tenant, from, to, now) {
                     // A closed reply channel means the feeder gave up
@@ -708,83 +664,52 @@ pub(crate) fn node_worker(
                 }
             }
             Ingest::Adopt { tenant, package } => {
-                let at_us = match mode {
-                    ExecMode::Replay => package.handoff_us,
-                    ExecMode::Wall => wall.now_us(),
-                };
-                adopt_destination(engine, plane, tenant, package, at_us);
+                let now = at(package.handoff_us);
+                adopt_destination(engine, plane, tenant, package, now);
             }
             Ingest::Crash { node, at_us, reply } => {
-                let now = match mode {
-                    ExecMode::Replay => at_us,
-                    ExecMode::Wall => wall.now_us(),
-                };
+                let now = at(at_us);
                 engine.run_timers_through(plane, now, true);
-                let evacuated = engine.evacuate(plane, node, now);
-                let _ = reply.send(evacuated);
+                let _ = reply.send(engine.evacuate(plane, node, now));
                 return false;
             }
             Ingest::Absorb { to, package } => {
-                let at_us = match mode {
-                    ExecMode::Replay => package.at_us,
-                    ExecMode::Wall => wall.now_us(),
-                };
-                absorb_failover(engine, plane, package, to, at_us);
+                let now = at(package.at_us);
+                absorb_failover(engine, plane, package, to, now);
             }
             Ingest::Refund { tenant, at_us } => {
-                let now = match mode {
-                    ExecMode::Replay => at_us,
-                    ExecMode::Wall => wall.now_us(),
-                };
-                engine.refund_orphan(plane, tenant, now);
+                engine.refund_orphan(plane, tenant, at(at_us));
             }
             Ingest::Sample { at_us, reply } => {
-                let now = match mode {
-                    ExecMode::Replay => at_us,
-                    ExecMode::Wall => wall.now_us(),
-                };
-                engine.run_timers_through(plane, now, true);
-                // A closed reply channel means the feeder gave up; the
-                // drop is safe either way.
+                engine.run_timers_through(plane, at(at_us), true);
                 let _ = reply.send(engine.take_control_sample(plane));
             }
             Ingest::SetBrownoutFloor { level, at_us } => {
-                let now = match mode {
-                    ExecMode::Replay => at_us,
-                    ExecMode::Wall => wall.now_us(),
-                };
-                engine.run_timers_through(plane, now, true);
+                engine.run_timers_through(plane, at(at_us), true);
                 engine.set_brownout_floor(level);
             }
         }
         true
     };
-    match mode {
-        ExecMode::Replay => {
-            while let Some(item) = queue.pop() {
-                let keep_going = handle(&mut engine, plane, item);
-                flush(&mut engine, &completions);
-                if !keep_going {
-                    break;
-                }
-            }
-        }
-        ExecMode::Wall => loop {
-            match queue.pop_until(engine.next_timer_us(), wall) {
-                Popped::Item(item) => {
-                    let keep_going = handle(&mut engine, plane, item);
-                    flush(&mut engine, &completions);
-                    if !keep_going {
-                        break;
-                    }
-                }
+    loop {
+        let item = match mode {
+            ExecMode::Replay => queue.pop(),
+            ExecMode::Wall => match queue.pop_until(engine.next_timer_us(), wall) {
+                Popped::Item(item) => Some(item),
                 Popped::TimerDue => {
                     engine.run_timers_through(plane, wall.now_us(), true);
                     flush(&mut engine, &completions);
+                    continue;
                 }
-                Popped::Closed => break,
-            }
-        },
+                Popped::Closed => None,
+            },
+        };
+        let Some(item) = item else { break };
+        let keep_going = handle(&mut engine, plane, item);
+        flush(&mut engine, &completions);
+        if !keep_going {
+            break;
+        }
     }
     if completions.is_some() {
         // Resolve everything still queued or in flight *before* the
@@ -793,417 +718,238 @@ pub(crate) fn node_worker(
         engine.run_timers_through(plane, u64::MAX, false);
         flush(&mut engine, &completions);
     }
-    Ok(engine.finish(plane))
+    engine.finish(plane)
 }
 
-/// Run `stream` through `fabric` with one OS thread per serving node.
-///
-/// The calling thread is the ingest feeder: it routes each request to its
-/// tenant's home node (same placement as [`ServeFabric::run`]) and pushes
-/// it onto that node's bounded queue, pacing against the wall clock in
-/// [`ExecMode::Wall`]. Node threads drain concurrently; their per-node
-/// accumulators merge into the same exact fleet report the simulator
-/// produces.
-pub fn run_fabric_live(
-    fabric: &mut ServeFabric,
-    stream: &[Request],
-    cfg: &ExecConfig,
-) -> Result<LiveReport, ServeError> {
-    run_fabric_live_migrating(fabric, stream, cfg, &[]).map(|(report, _)| report)
+/// The threaded backend's [`FleetPort`]: the ingest feeder. Each node
+/// operation is an [`Ingest`] entry pushed in stream position onto the
+/// node's queue, with a reply channel where the coordinator needs an
+/// answer. A refused push (the worker already died and closed its queue)
+/// or a dropped reply is the port's "no answer".
+struct LivePort<'q> {
+    queues: &'q [IngestQueue<Ingest>],
+    index: BTreeMap<NodeId, usize>,
+    mode: ExecMode,
+    wall: &'q WallClock,
+    /// Wall mode: the migrating tenant's not-yet-ingested arrivals,
+    /// spliced out of the source queue by `drain` and pushed behind the
+    /// `Adopt` entry by `adopt`.
+    held: Vec<Ingest>,
+    /// Arrivals a dead worker's closed queue refused, per node.
+    lost: BTreeMap<NodeId, u64>,
 }
 
-/// [`run_fabric_live`] plus scheduled live migrations: the feeder
-/// doubles as migration coordinator, injecting drain/adopt control
-/// entries into the node queues at the specs' stream positions (see
-/// [`ServeFabric::run_live_migrating`]).
-pub fn run_fabric_live_migrating(
-    fabric: &mut ServeFabric,
-    stream: &[Request],
-    cfg: &ExecConfig,
-    specs: &[MigrationSpec],
-) -> Result<(LiveReport, Vec<MigrationRecord>), ServeError> {
-    for spec in specs {
-        if fabric.home_node(spec.tenant).is_none() {
-            return Err(ServeError::UnknownTenant(spec.tenant));
-        }
-        if !fabric.nodes().iter().any(|n| n.id == spec.to) {
-            return Err(ServeError::UnknownNode(spec.to));
-        }
+impl<'q> LivePort<'q> {
+    fn queue(&self, node: NodeId) -> &'q IngestQueue<Ingest> {
+        let queues: &'q [IngestQueue<Ingest>] = self.queues;
+        &queues[self.index[&node]]
     }
-    fabric.validate_fault_plan()?;
-    let refunded_before = fabric.refunded_total();
-    let serve_cfg = fabric.serve_config().clone();
-    let observe_cfg = fabric.observe_config().clone();
-    let fault_plan = fabric.fault_plan().clone();
-    let load_factor = fabric.load_factor();
-    let mode = cfg.mode;
-    let wall = WallClock::new();
-    let start = Instant::now();
-    let triggers = merge_triggers(&fault_plan, specs);
-    let mut records: Vec<MigrationRecord> = Vec::with_capacity(specs.len());
-    let mut lost: BTreeMap<NodeId, u64> = BTreeMap::new();
-    // The controller mirror: same policy, same standby pool, ticking at
-    // the same logical instants as the simulator's interleaved loop.
-    let controller_cfg = fabric.controller_config().clone();
-    let controller_on = controller_cfg.enabled;
-    let max_total_pending = serve_cfg.gateway.max_total_pending;
-    let mut controller = FleetController::new(controller_cfg, fabric.take_standby());
-    let tick_interval = controller.config().interval_us.max(1);
-    let mut next_tick = tick_interval;
+}
 
-    let (nodes, shard_router, assignments, traffic) = fabric.split_live();
-    let queues: Vec<IngestQueue<Ingest>> = nodes
-        .iter()
-        .map(|_| IngestQueue::new(cfg.queue_capacity))
-        .collect();
-    let index_of: BTreeMap<_, _> = nodes.iter().enumerate().map(|(i, n)| (n.id, i)).collect();
+impl FleetPort for LivePort<'_> {
+    fn deliver(&mut self, node: NodeId, request: &Request) -> Option<ShedReason> {
+        if self.mode == ExecMode::Wall {
+            self.wall.advance_to(request.arrival_us);
+        }
+        // A refused push means the node worker died (panic) and closed
+        // its queue; keep feeding the healthy nodes — the dead node's
+        // failure surfaces after the join, with this count attached.
+        if !self.queue(node).push(Ingest::Arrival(request.clone())) {
+            *self.lost.entry(node).or_default() += 1;
+        }
+        None
+    }
 
-    type JoinOutcome = std::thread::Result<Result<ServeStats, ServeError>>;
-    let results: Vec<JoinOutcome> = std::thread::scope(|s| {
-        let handles: Vec<_> = nodes
-            .iter_mut()
-            .zip(&queues)
-            .map(|(node, queue)| {
-                let serve_cfg = &serve_cfg;
-                let wall = &wall;
-                let observer = observe_cfg
-                    .enabled
-                    .then(|| Box::new(NodeObserver::new(node.id, observe_cfg.clone())));
-                // Live workers are allowed to arm `DispatchPanic` events —
-                // the genuine-death path the simulator cannot model.
-                let faults = NodeFaults::for_node(&fault_plan, node.id, true);
-                let plane = &mut node.plane;
-                let telemetry = &node.telemetry;
-                s.spawn(move || {
-                    node_worker(
-                        plane,
-                        telemetry,
-                        serve_cfg,
-                        observer,
-                        faults,
-                        queue,
-                        mode,
-                        wall,
-                        controller_on,
-                        None,
-                    )
-                })
-            })
+    fn drain(
+        &mut self,
+        from: NodeId,
+        tenant: TenantId,
+        to: NodeId,
+        at_us: u64,
+    ) -> Result<HandoffPackage, MigrationPhase> {
+        let queue = self.queue(from);
+        // Wall mode: the tenant's not-yet-ingested arrivals leave the
+        // source's queue now and follow the account (replay keeps them —
+        // the simulator's node already owns them).
+        let held = if self.mode == ExecMode::Wall {
+            queue.splice(|i| matches!(i, Ingest::Arrival(r) if r.tenant == tenant))
+        } else {
+            Vec::new()
+        };
+        let (reply, rx) = mpsc::channel();
+        if !queue.push(Ingest::Drain {
+            tenant,
+            from,
+            to,
+            at_us,
+            reply,
+        }) {
+            return Err(MigrationPhase::Planned); // source already gone
+        }
+        let package = rx.recv().map_err(|_| MigrationPhase::Draining)?;
+        self.held = held;
+        Ok(package)
+    }
+
+    fn adopt(&mut self, to: NodeId, tenant: TenantId, package: HandoffPackage) -> Option<usize> {
+        let held = std::mem::take(&mut self.held);
+        let queue = self.queue(to);
+        if !queue.push(Ingest::Adopt { tenant, package }) {
+            return None;
+        }
+        let queue_spliced = held.len();
+        for item in held {
+            let _ = queue.push(item);
+        }
+        Some(queue_spliced)
+    }
+
+    fn crash(&mut self, node: NodeId, at_us: u64) -> Option<(Vec<FailoverPackage>, Vec<Request>)> {
+        let (reply, rx) = mpsc::channel();
+        if !self.queue(node).push(Ingest::Crash { node, at_us, reply }) {
+            return None;
+        }
+        rx.recv().ok()
+    }
+
+    fn absorb(&mut self, to: NodeId, package: FailoverPackage) -> bool {
+        self.queue(to).push(Ingest::Absorb { to, package })
+    }
+
+    fn refund(&mut self, node: NodeId, tenant: TenantId, at_us: u64) {
+        let _ = self.queue(node).push(Ingest::Refund { tenant, at_us });
+    }
+
+    fn sample(&mut self, node: NodeId, at_us: u64) -> Option<ControlSample> {
+        let (reply, rx) = mpsc::channel();
+        if !self.queue(node).push(Ingest::Sample { at_us, reply }) {
+            return None;
+        }
+        rx.recv().ok()
+    }
+
+    fn set_brownout_floor(&mut self, node: NodeId, level: usize, at_us: u64) {
+        let _ = self
+            .queue(node)
+            .push(Ingest::SetBrownoutFloor { level, at_us });
+    }
+}
+
+impl ServeFabric {
+    /// Run an arrival-ordered stream through the fabric's wall-clock
+    /// backend: one OS thread per node behind bounded ingest queues. In
+    /// [`ExecMode::Replay`] the returned fleet report is bit-identical to
+    /// [`ServeFabric::run`] on the same stream; the wall-clock side of
+    /// the [`LiveReport`] measures the real threaded pipeline.
+    pub fn run_live(
+        &mut self,
+        stream: &[Request],
+        cfg: &ExecConfig,
+    ) -> Result<LiveReport, ServeError> {
+        self.run_live_migrating(stream, cfg, &[])
+            .map(|(report, _)| report)
+    }
+
+    /// Run a stream on the wall-clock backend while executing scheduled
+    /// live migrations across the running node *threads*. The calling
+    /// thread is the ingest feeder: it routes each request to its
+    /// tenant's home node and pushes it onto that node's bounded queue
+    /// (pacing against the wall clock in [`ExecMode::Wall`]), and it is
+    /// the fleet coordinator's port, so accounts and spliced work move
+    /// between live threads without stopping traffic. In
+    /// [`ExecMode::Replay`] both the fleet report and the migration
+    /// records are bit-identical to [`ServeFabric::run_migrating`] on the
+    /// same stream and specs.
+    pub fn run_live_migrating(
+        &mut self,
+        stream: &[Request],
+        cfg: &ExecConfig,
+        specs: &[MigrationSpec],
+    ) -> Result<(LiveReport, Vec<MigrationRecord>), ServeError> {
+        let refunded_before = self.refunded_total();
+        // Live workers may arm `DispatchPanic` events — the genuine-death
+        // path the simulator cannot model.
+        let engines = EngineSpec {
+            allow_panics: true,
+            control_tap: self.controller_config().enabled,
+            ..self.engine_spec()
+        };
+        let wall = WallClock::new();
+        let start = Instant::now();
+        let (nodes, mut fleet) = self.begin_run(specs)?;
+        let node_ids: Vec<NodeId> = nodes.iter().map(|n| n.id).collect();
+        let queues: Vec<IngestQueue<Ingest>> = nodes
+            .iter()
+            .map(|_| IngestQueue::new(cfg.queue_capacity))
             .collect();
-
-        // The feeder: route at ingest time, in arrival order, executing
-        // scheduled migrations and injected crashes at their stream
-        // positions (same merged trigger order as the simulator). Unknown
-        // tenants are still routed (by the same hash) so the owning
-        // gateway records the denial, exactly as in the simulator.
-        let mut pending = triggers.iter().peekable();
-        let mut dead: BTreeSet<NodeId> = BTreeSet::new();
-        let migrate = |spec: &MigrationSpec,
-                       at_us: u64,
-                       assignments: &mut BTreeMap<TenantId, (NodeId, String)>,
-                       shard_router: &mut crate::ShardRouter|
-         -> MigrationRecord {
-            let (from, family) = assignments
-                .get(&spec.tenant)
-                .cloned()
-                .expect("specs are validated before the run starts");
-            let mut record = MigrationRecord::planned(spec, from, at_us);
-            if from == spec.to {
-                record.phase = MigrationPhase::Resumed;
-                return record;
-            }
-            // Wall mode: the tenant's not-yet-ingested arrivals leave the
-            // source's queue now and follow the account (replay keeps
-            // them — the simulator's node already owns them).
-            let held: Vec<Ingest> = if mode == ExecMode::Wall {
-                queues[index_of[&from]]
-                    .splice(|i| matches!(i, Ingest::Arrival(r) if r.tenant == spec.tenant))
-            } else {
-                Vec::new()
-            };
-            let (reply, rx) = mpsc::channel();
-            let accepted = queues[index_of[&from]].push(Ingest::Drain {
-                tenant: spec.tenant,
-                from,
-                to: spec.to,
-                at_us,
-                reply,
-            });
-            if !accepted {
-                // Source worker already exited (error/panic); the node's
-                // failure surfaces after the join. The migration never
-                // started draining.
-                return record;
-            }
-            record.phase = MigrationPhase::Draining;
-            let Ok(package) = rx.recv() else {
-                // Source worker died mid-drain; its error surfaces after
-                // the join.
-                return record;
-            };
-            record.absorb(&package);
-            if !queues[index_of[&spec.to]].push(Ingest::Adopt {
-                tenant: spec.tenant,
-                package,
-            }) {
-                // Destination worker already exited; the account is gone
-                // with its queue and the node's failure ends the run.
-                return record;
-            }
-            record.phase = MigrationPhase::HandedOff;
-            assignments.insert(spec.tenant, (spec.to, family));
-            shard_router.pin(spec.tenant, spec.to);
-            record.queue_spliced = held.len();
-            for item in held {
-                let _ = queues[index_of[&spec.to]].push(item);
-            }
-            record.phase = MigrationPhase::Resumed;
-            record
+        let mut port = LivePort {
+            queues: &queues,
+            index: node_ids
+                .iter()
+                .enumerate()
+                .map(|(i, id)| (*id, i))
+                .collect(),
+            mode: cfg.mode,
+            wall: &wall,
+            held: Vec::new(),
+            lost: BTreeMap::new(),
         };
-        // Injected crash: the live mirror of the simulator's
-        // `execute_crash`. The dying worker evacuates cooperatively and
-        // replies with the exported accounts; the feeder re-homes them via
-        // the same pure `plan_evacuation` the simulator uses, so every
-        // account lands on the same survivor in both backends.
-        let crash = |node: NodeId,
-                     at_us: u64,
-                     assignments: &mut BTreeMap<TenantId, (NodeId, String)>,
-                     shard_router: &mut crate::ShardRouter,
-                     traffic: &crate::TrafficLedger,
-                     dead: &mut BTreeSet<NodeId>| {
-            if !dead.insert(node) {
-                return; // a duplicate crash of a dead node is a no-op
+        let results: Vec<std::thread::Result<ServeStats>> = std::thread::scope(|s| {
+            let handles: Vec<_> = nodes
+                .iter_mut()
+                .zip(&queues)
+                .map(|(node, queue)| {
+                    let (engines, wall) = (&engines, &wall);
+                    s.spawn(move || node_worker(node, engines, queue, cfg.mode, wall, None))
+                })
+                .collect();
+            for request in stream {
+                fleet.advance(&mut port, request.arrival_us);
+                fleet.deliver(&mut port, request);
             }
-            let (reply, rx) = mpsc::channel();
-            if !queues[index_of[&node]].push(Ingest::Crash { node, at_us, reply }) {
-                // The worker already died for real (error/panic closed its
-                // queue): nothing to evacuate — its loss surfaces as a
-                // NodeFailure after the join.
-                return;
+            fleet.finish(&mut port, stream.last().map_or(0, |r| r.arrival_us));
+            for queue in &queues {
+                queue.close();
             }
-            let Ok((packages, orphans)) = rx.recv() else {
-                // Worker died between accepting the control and replying.
-                return;
-            };
-            shard_router.remove_node(node);
-            let moves = plan_evacuation(shard_router, assignments, traffic, node, load_factor);
-            debug_assert_eq!(moves.len(), packages.len(), "every account gets a home");
-            for (package, (tenant, family, dest)) in packages.into_iter().zip(moves) {
-                debug_assert_eq!(package.tenant, tenant, "both walk tenants in id order");
-                if !queues[index_of[&dest]].push(Ingest::Absorb { to: dest, package }) {
-                    continue; // survivor itself already dead for real
-                }
-                assignments.insert(tenant, (dest, family));
-                shard_router.pin(tenant, dest);
-            }
-            for orphan in orphans {
-                if let Some((home, _)) = assignments.get(&orphan.tenant) {
-                    let _ = queues[index_of[home]].push(Ingest::Refund {
-                        tenant: orphan.tenant,
-                        at_us,
+            handles.into_iter().map(|h| h.join()).collect()
+        });
+        let (records, control) = fleet.into_parts();
+
+        let mut per_node = Vec::with_capacity(results.len());
+        let mut failures = Vec::new();
+        for (id, result) in node_ids.into_iter().zip(results) {
+            match result {
+                Ok(stats) => per_node.push((id, stats)),
+                Err(panic) => {
+                    // A genuinely dead worker: report it structurally
+                    // instead of poisoning the run. Its un-evacuated state
+                    // is gone; the surviving nodes' merged report remains
+                    // exact for their own traffic.
+                    let reason = panic
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .or_else(|| panic.downcast_ref::<&str>().map(|s| (*s).to_string()))
+                        .unwrap_or_else(|| "node worker panicked".to_string());
+                    failures.push(NodeFailure {
+                        node: id,
+                        reason,
+                        lost_requests: port.lost.get(&id).copied().unwrap_or(0),
                     });
+                    per_node.push((id, ServeStats::default()));
                 }
-            }
-        };
-        let fire = |trigger: &(u64, FleetTrigger<'_>),
-                    at_us: u64,
-                    records: &mut Vec<MigrationRecord>,
-                    assignments: &mut BTreeMap<TenantId, (NodeId, String)>,
-                    shard_router: &mut crate::ShardRouter,
-                    traffic: &crate::TrafficLedger,
-                    dead: &mut BTreeSet<NodeId>| match trigger.1 {
-            FleetTrigger::Crash { node } => {
-                crash(node, at_us, assignments, shard_router, traffic, dead);
-            }
-            FleetTrigger::Migrate(spec) => {
-                if dead.contains(&spec.to) {
-                    // Destination died first: the migration never starts
-                    // (same freeze as the simulator).
-                    let from = assignments
-                        .get(&spec.tenant)
-                        .map(|(n, _)| *n)
-                        .unwrap_or(spec.to);
-                    records.push(MigrationRecord::planned(spec, from, at_us));
-                } else {
-                    records.push(migrate(spec, at_us, assignments, shard_router));
-                }
-            }
-        };
-        // Controller tick, the live mirror of the simulator's
-        // `execute_control_tick`: sample every live node in id order
-        // (Sample controls ride in stream position, so the counters are
-        // the simulator's), ask the same controller, apply the actions
-        // through the same migrate primitive and router mutations.
-        let tick = |at_us: u64,
-                    records: &mut Vec<MigrationRecord>,
-                    assignments: &mut BTreeMap<TenantId, (NodeId, String)>,
-                    shard_router: &mut crate::ShardRouter,
-                    controller: &mut FleetController,
-                    traffic: &mut crate::TrafficLedger| {
-            let mut active: Vec<crate::ShardNode> = Vec::new();
-            let mut snapshots = Vec::new();
-            for node in shard_router.nodes().to_vec() {
-                let (reply, rx) = mpsc::channel();
-                if !queues[index_of[&node.id]].push(Ingest::Sample { at_us, reply }) {
-                    continue; // worker genuinely died; skip it this tick
-                }
-                let Ok(sample) = rx.recv() else { continue };
-                snapshots.push((node.id, sample));
-                active.push(node);
-            }
-            let actions = {
-                let view = ControllerView {
-                    active: &active,
-                    assignments: &*assignments,
-                    max_total_pending,
-                };
-                controller.tick(at_us, &snapshots, &view, traffic)
-            };
-            for action in actions {
-                match action {
-                    ControlAction::Brownout { node, floor } => {
-                        let _ = queues[index_of[&node]].push(Ingest::SetBrownoutFloor {
-                            level: floor,
-                            at_us,
-                        });
-                    }
-                    ControlAction::Migrate { tenant, to, .. } => {
-                        let spec = crate::controller::spec_of(tenant, to, at_us);
-                        records.push(migrate(&spec, at_us, assignments, shard_router));
-                    }
-                    ControlAction::Join {
-                        node,
-                        weight,
-                        moves,
-                    } => {
-                        shard_router.add_node(crate::ShardNode { id: node, weight });
-                        for (tenant, dest) in moves {
-                            let spec = crate::controller::spec_of(tenant, dest, at_us);
-                            records.push(migrate(&spec, at_us, assignments, shard_router));
-                        }
-                    }
-                    ControlAction::Drain { node, moves } => {
-                        for (tenant, dest) in moves {
-                            let spec = crate::controller::spec_of(tenant, dest, at_us);
-                            records.push(migrate(&spec, at_us, assignments, shard_router));
-                        }
-                        shard_router.remove_node(node);
-                    }
-                }
-            }
-        };
-
-        for request in stream {
-            loop {
-                let trig_at = pending
-                    .peek()
-                    .map(|(at, _)| *at)
-                    .filter(|at| *at <= request.arrival_us);
-                let tick_at =
-                    (controller_on && next_tick <= request.arrival_us).then_some(next_tick);
-                let fire_trigger = match (trig_at, tick_at) {
-                    (Some(t), Some(k)) => t <= k, // triggers win ties
-                    (Some(_), None) => true,
-                    (None, Some(_)) => false,
-                    (None, None) => break,
-                };
-                if !fire_trigger {
-                    tick(
-                        next_tick,
-                        &mut records,
-                        assignments,
-                        shard_router,
-                        &mut controller,
-                        traffic,
-                    );
-                    next_tick += tick_interval;
-                    continue;
-                }
-                let trigger = pending.next().expect("peeked");
-                fire(
-                    trigger,
-                    trigger.0,
-                    &mut records,
-                    assignments,
-                    shard_router,
-                    traffic,
-                    &mut dead,
-                );
-            }
-            let home = match assignments.get(&request.tenant) {
-                Some((node, _)) => *node,
-                None => shard_router.assign(request.tenant, &request.model),
-            };
-            if mode == ExecMode::Wall {
-                wall.advance_to(request.arrival_us);
-            }
-            // A `false` return means the node worker exited early (error
-            // or panic) and closed its queue; keep feeding the healthy
-            // nodes — the dead node's result surfaces after the join, with
-            // the undeliverable count attached.
-            if !queues[index_of[&home]].push(Ingest::Arrival(request.clone())) {
-                *lost.entry(home).or_default() += 1;
             }
         }
-        // Triggers past the last arrival execute at end of stream,
-        // mirroring the simulator.
-        let end_us = stream.last().map_or(0, |r| r.arrival_us);
-        for trigger in pending {
-            fire(
-                trigger,
-                end_us,
-                &mut records,
-                assignments,
-                shard_router,
-                traffic,
-                &mut dead,
-            );
-        }
-        for queue in &queues {
-            queue.close();
-        }
-        handles.into_iter().map(|h| h.join()).collect()
-    });
-
-    let node_ids: Vec<_> = fabric.nodes().iter().map(|n| n.id).collect();
-    let mut per_node = Vec::with_capacity(results.len());
-    let mut failures = Vec::new();
-    for (id, result) in node_ids.into_iter().zip(results) {
-        match result {
-            // A setup error (e.g. NoFamilies) still fails the whole run —
-            // that's a misconfiguration, not a fault.
-            Ok(stats) => per_node.push((id, stats?)),
-            Err(panic) => {
-                // A genuinely dead worker: report it structurally instead
-                // of poisoning the run. Its un-evacuated state is gone;
-                // the surviving nodes' merged report remains exact for
-                // their own traffic.
-                let reason = panic
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| panic.downcast_ref::<&str>().map(|s| (*s).to_string()))
-                    .unwrap_or_else(|| "node worker panicked".to_string());
-                failures.push(NodeFailure {
-                    node: id,
-                    reason,
-                    lost_requests: lost.get(&id).copied().unwrap_or(0),
-                });
-                per_node.push((id, ServeStats::default()));
-            }
-        }
+        let fabric = self.assemble_report(per_node, refunded_before, control);
+        Ok((
+            LiveReport {
+                fabric,
+                wall_ms: start.elapsed().as_secs_f64() * 1e3,
+                requests: stream.len(),
+                failures,
+            },
+            records,
+        ))
     }
-    let (control, standby) = controller.into_parts();
-    fabric.restore_standby(standby);
-    let fabric_report = fabric.assemble_report(per_node, refunded_before, control);
-    Ok((
-        LiveReport {
-            fabric: fabric_report,
-            wall_ms: start.elapsed().as_secs_f64() * 1e3,
-            requests: stream.len(),
-            failures,
-        },
-        records,
-    ))
 }
 
 #[cfg(test)]

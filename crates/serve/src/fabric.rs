@@ -30,12 +30,11 @@
 //!   [`FabricConfig::load_factor`] × its fair share; hot tenants
 //!   overflow to their next-best rendezvous node.
 
-use crate::controller::{
-    ControlAction, ControlRecord, ControllerConfig, ControllerView, FleetController,
-};
+use crate::controller::{ControlRecord, ControlSample, ControllerConfig};
+use crate::coordinator::{FleetCoordinator, FleetPort, FleetState};
 use crate::fault::{
-    plan_evacuation, retryable, schedule_retry, FailoverPackage, FaultPlan, NodeFaults,
-    RetryBudget, RetryDecision, RetryPolicy,
+    retryable, schedule_retry, FailoverPackage, FaultPlan, NodeFaults, RetryBudget, RetryDecision,
+    RetryPolicy,
 };
 use crate::observer::{NodeObserver, ObserveConfig};
 use crate::request::{Request, ShedReason, TenantId};
@@ -52,74 +51,6 @@ use tinymlops_observe::{
     Alarm, LogHistogram, Telemetry, TelemetryReport, TraceEvent, WindowSample,
 };
 use tinymlops_registry::{ModelId, ModelRecord};
-
-/// One node's replay context inside the interleaved fabric loop: its
-/// serving stack plus the event engine driving it (the engine borrows
-/// the node's telemetry sink for the duration of the run).
-struct NodeCtx<'n> {
-    id: NodeId,
-    plane: &'n mut ServePlane,
-    engine: ServeEngine<'n>,
-}
-
-/// Disjoint mutable borrows of two slice elements (source and
-/// destination node of a migration).
-fn two_muts<T>(xs: &mut [T], i: usize, j: usize) -> (&mut T, &mut T) {
-    assert_ne!(i, j, "migration source and destination must differ");
-    if i < j {
-        let (a, b) = xs.split_at_mut(j);
-        (&mut a[i], &mut b[0])
-    } else {
-        let (a, b) = xs.split_at_mut(i);
-        (&mut b[0], &mut a[j])
-    }
-}
-
-/// Execute one migration inside the simulator's interleaved loop,
-/// walking the full drain/handoff state machine at logical time `at_us`.
-fn execute_migration(
-    ctxs: &mut [NodeCtx<'_>],
-    index: &BTreeMap<NodeId, usize>,
-    assignments: &mut BTreeMap<TenantId, (NodeId, String)>,
-    shard_router: &mut ShardRouter,
-    spec: &MigrationSpec,
-    at_us: u64,
-) -> MigrationRecord {
-    let (from, family) = assignments
-        .get(&spec.tenant)
-        .cloned()
-        .expect("specs are validated before the run starts");
-    let mut record = MigrationRecord::planned(spec, from, at_us);
-    if from == spec.to {
-        // Already home (e.g. a repeated migration of the same tenant):
-        // nothing drains, nothing moves, the routing is already right.
-        record.phase = MigrationPhase::Resumed;
-        return record;
-    }
-    let (src, dst) = two_muts(ctxs, index[&from], index[&spec.to]);
-    // Mark-source-draining: bring the source to the trigger instant.
-    // New work cannot reach it past this point (the routing flip below
-    // is atomic within this same event), so the drain set is closed.
-    src.engine.run_timers_through(src.plane, at_us, true);
-    record.phase = MigrationPhase::Draining;
-    let package = drain_source(
-        &mut src.engine,
-        src.plane,
-        spec.tenant,
-        from,
-        spec.to,
-        at_us,
-    )
-    .expect("validated tenant has an account on its home node");
-    record.absorb(&package);
-    adopt_destination(&mut dst.engine, dst.plane, spec.tenant, package, at_us);
-    record.phase = MigrationPhase::HandedOff;
-    // Flip + pin the assignment; the tenant resumes on its new home.
-    assignments.insert(spec.tenant, (spec.to, family));
-    shard_router.pin(spec.tenant, spec.to);
-    record.phase = MigrationPhase::Resumed;
-    record
-}
 
 /// Fabric construction parameters.
 #[derive(Debug, Clone)]
@@ -244,11 +175,8 @@ pub struct MigrationRecord {
 }
 
 impl MigrationRecord {
-    /// The record skeleton both backends start from: spec echoed, phase
-    /// [`MigrationPhase::Planned`], nothing moved yet. Keeping this (and
-    /// [`MigrationRecord::absorb`]) in one place is what keeps the
-    /// simulator's and the live coordinator's records field-for-field
-    /// identical as the struct evolves.
+    /// The record skeleton a migration starts from: spec echoed, phase
+    /// [`MigrationPhase::Planned`], nothing moved yet.
     pub(crate) fn planned(spec: &MigrationSpec, from: NodeId, at_us: u64) -> Self {
         MigrationRecord {
             tenant: spec.tenant,
@@ -376,168 +304,247 @@ pub(crate) fn absorb_failover(
     );
 }
 
-/// A cross-node event in the interleaved run loop: an injected node crash
-/// or a scheduled live migration.
-pub(crate) enum FleetTrigger<'s> {
-    /// Injected [`crate::FaultKind::Crash`] of a node.
-    Crash {
-        /// The node that dies.
-        node: NodeId,
-    },
-    /// A scheduled [`MigrationSpec`].
-    Migrate(&'s MigrationSpec),
+/// A tenant's home node: its assignment, or — for a tenant the fabric
+/// never provisioned — the shard router's hash placement, so the owning
+/// gateway records the denial exactly like one node handling an
+/// unprovisioned key.
+pub(crate) fn route(
+    shard_router: &ShardRouter,
+    assignments: &BTreeMap<TenantId, (NodeId, String)>,
+    tenant: TenantId,
+    model: &str,
+) -> NodeId {
+    match assignments.get(&tenant) {
+        Some((node, _)) => *node,
+        None => shard_router.assign(tenant, model),
+    }
 }
 
-/// Merge a fault plan's crash events with the migration schedule into one
-/// trigger sequence ordered by (time, crashes-first, schedule order).
-/// Both drivers — the simulator's interleaved loop and the live ingest
-/// feeder — consume this exact sequence, which is what makes crash
-/// recovery replay bit-identically across backends.
-pub(crate) fn merge_triggers<'s>(
-    plan: &FaultPlan,
-    specs: &'s [MigrationSpec],
-) -> Vec<(u64, FleetTrigger<'s>)> {
-    let mut keyed: Vec<(u64, u8, usize, FleetTrigger<'s>)> = Vec::new();
-    for (i, (node, at_us)) in plan.crashes().enumerate() {
-        keyed.push((at_us, 0, i, FleetTrigger::Crash { node }));
-    }
-    for (i, spec) in specs.iter().enumerate() {
-        keyed.push((spec.trigger_us, 1, i, FleetTrigger::Migrate(spec)));
-    }
-    keyed.sort_by_key(|(at, rank, idx, _)| (*at, *rank, *idx));
-    keyed.into_iter().map(|(at, _, _, t)| (at, t)).collect()
+/// How every node engine of a run is built: the fabric's per-node
+/// serving, observability and fault configuration plus the taps the
+/// driver arms. The one constructor behind the simulator loop, the live
+/// node workers and both closed-loop drivers.
+pub(crate) struct EngineSpec {
+    pub(crate) serve: ServeConfig,
+    pub(crate) observe: ObserveConfig,
+    pub(crate) fault: FaultPlan,
+    /// Arm [`crate::FaultKind::DispatchPanic`] events. Only live workers
+    /// may: a panic in the single-threaded simulator would kill the whole
+    /// run instead of one worker.
+    pub(crate) allow_panics: bool,
+    /// Arm the per-node control tap the fleet controller samples.
+    pub(crate) control_tap: bool,
+    /// Arm the completion tap (the closed-loop response leg).
+    pub(crate) completion_tap: bool,
 }
 
-/// Execute one injected node crash inside the simulator's interleaved
-/// loop: bring the dying node to the crash instant, evacuate it (pending
-/// work resolved as refunded failover sheds, accounts exported), drop it
-/// from the shard topology, re-home every evacuated tenant onto a
-/// survivor under bounded load ([`plan_evacuation`]) and pin it there,
-/// and route orphaned refunds — in-flight work of tenants that had
-/// already migrated away — to their accounts' current homes. The live
-/// feeder performs the same steps over the ingest queues; placement
-/// parity rests on `plan_evacuation` being a pure function of the
-/// surviving topology.
-#[allow(clippy::too_many_arguments)]
-fn execute_crash(
-    ctxs: &mut [NodeCtx<'_>],
-    index: &BTreeMap<NodeId, usize>,
-    assignments: &mut BTreeMap<TenantId, (NodeId, String)>,
-    shard_router: &mut ShardRouter,
-    traffic: &TrafficLedger,
-    dead: &mut BTreeSet<NodeId>,
-    load_factor: f64,
-    node: NodeId,
-    at_us: u64,
-) {
-    if !dead.insert(node) {
-        return; // a duplicate crash of a dead node is a no-op
+impl EngineSpec {
+    /// The engine for node `id`, recording into `telemetry`.
+    pub(crate) fn build<'t>(&self, id: NodeId, telemetry: &'t Telemetry) -> ServeEngine<'t> {
+        let mut engine = ServeEngine::new(self.serve.clone(), Some(telemetry));
+        if self.observe.enabled {
+            engine.set_observer(Some(Box::new(NodeObserver::new(id, self.observe.clone()))));
+        }
+        engine.set_faults(NodeFaults::for_node(&self.fault, id, self.allow_panics));
+        engine.set_control_tap(self.control_tap);
+        engine.set_completion_tap(self.completion_tap);
+        engine
     }
-    let ctx = &mut ctxs[index[&node]];
-    ctx.engine.run_timers_through(ctx.plane, at_us, true);
-    let (packages, orphans) = ctx.engine.evacuate(ctx.plane, node, at_us);
-    shard_router.remove_node(node);
-    let moves = plan_evacuation(shard_router, assignments, traffic, node, load_factor);
-    debug_assert_eq!(moves.len(), packages.len(), "every account gets a home");
-    for (package, (tenant, family, dest)) in packages.into_iter().zip(moves) {
-        debug_assert_eq!(package.tenant, tenant, "both walk tenants in id order");
-        let dst = &mut ctxs[index[&dest]];
-        absorb_failover(&mut dst.engine, dst.plane, package, dest, at_us);
-        assignments.insert(tenant, (dest, family));
-        shard_router.pin(tenant, dest);
+}
+
+/// One node in the simulator: its serving stack plus the event engine
+/// driving it (the engine borrows the node's telemetry sink for the run).
+pub(crate) struct NodeCtx<'n> {
+    pub(crate) id: NodeId,
+    pub(crate) plane: &'n mut ServePlane,
+    pub(crate) engine: ServeEngine<'n>,
+}
+
+/// The simulator's [`FleetPort`]: every node's engine on the calling
+/// thread, driven by direct calls. Nodes share nothing, so each still
+/// sees exactly its own (timers, arrival) sequence.
+pub(crate) struct SimPort<'n> {
+    pub(crate) ctxs: Vec<NodeCtx<'n>>,
+    index: BTreeMap<NodeId, usize>,
+}
+
+impl<'n> SimPort<'n> {
+    /// One engine per node, built from `engines`.
+    pub(crate) fn new(nodes: &'n mut [FabricNode], engines: &EngineSpec) -> Self {
+        let ctxs: Vec<NodeCtx<'n>> = nodes
+            .iter_mut()
+            .map(|node| {
+                let FabricNode {
+                    id,
+                    plane,
+                    telemetry,
+                } = node;
+                NodeCtx {
+                    id: *id,
+                    engine: engines.build(*id, telemetry),
+                    plane,
+                }
+            })
+            .collect();
+        let index = ctxs.iter().enumerate().map(|(i, c)| (c.id, i)).collect();
+        SimPort { ctxs, index }
     }
-    for orphan in orphans {
-        if let Some((home, _)) = assignments.get(&orphan.tenant) {
-            let hctx = &mut ctxs[index[home]];
-            hctx.engine.refund_orphan(hctx.plane, orphan.tenant, at_us);
+
+    pub(crate) fn node(&mut self, id: NodeId) -> &mut NodeCtx<'n> {
+        &mut self.ctxs[self.index[&id]]
+    }
+
+    /// Drain every engine; per-node statistics in node-id order.
+    pub(crate) fn finish(self) -> Vec<(NodeId, ServeStats)> {
+        self.ctxs
+            .into_iter()
+            .map(|NodeCtx { id, plane, engine }| (id, engine.finish(plane)))
+            .collect()
+    }
+}
+
+impl FleetPort for SimPort<'_> {
+    fn deliver(&mut self, node: NodeId, request: &Request) -> Option<ShedReason> {
+        let ctx = self.node(node);
+        ctx.engine
+            .run_timers_through(ctx.plane, request.arrival_us, true);
+        ctx.engine.on_arrival(ctx.plane, request)
+    }
+
+    fn drain(
+        &mut self,
+        from: NodeId,
+        tenant: TenantId,
+        to: NodeId,
+        at_us: u64,
+    ) -> Result<HandoffPackage, MigrationPhase> {
+        let ctx = self.node(from);
+        ctx.engine.run_timers_through(ctx.plane, at_us, true);
+        Ok(
+            drain_source(&mut ctx.engine, ctx.plane, tenant, from, to, at_us)
+                .expect("validated tenant has an account on its home node"),
+        )
+    }
+
+    fn adopt(&mut self, to: NodeId, tenant: TenantId, package: HandoffPackage) -> Option<usize> {
+        let ctx = self.node(to);
+        let at_us = package.handoff_us;
+        adopt_destination(&mut ctx.engine, ctx.plane, tenant, package, at_us);
+        Some(0)
+    }
+
+    fn crash(&mut self, node: NodeId, at_us: u64) -> Option<(Vec<FailoverPackage>, Vec<Request>)> {
+        let ctx = self.node(node);
+        ctx.engine.run_timers_through(ctx.plane, at_us, true);
+        Some(ctx.engine.evacuate(ctx.plane, node, at_us))
+    }
+
+    fn absorb(&mut self, to: NodeId, package: FailoverPackage) -> bool {
+        let ctx = self.node(to);
+        let at_us = package.at_us;
+        absorb_failover(&mut ctx.engine, ctx.plane, package, to, at_us);
+        true
+    }
+
+    fn refund(&mut self, node: NodeId, tenant: TenantId, at_us: u64) {
+        let ctx = self.node(node);
+        ctx.engine.refund_orphan(ctx.plane, tenant, at_us);
+    }
+
+    fn sample(&mut self, node: NodeId, at_us: u64) -> Option<ControlSample> {
+        let ctx = self.node(node);
+        ctx.engine.run_timers_through(ctx.plane, at_us, true);
+        Some(ctx.engine.take_control_sample(ctx.plane))
+    }
+
+    fn set_brownout_floor(&mut self, node: NodeId, level: usize, _at_us: u64) {
+        self.node(node).engine.set_brownout_floor(level);
+    }
+}
+
+/// The simulator-only retry loop behind [`ServeFabric::run_with_retries`]:
+/// a transient admission shed becomes a re-delivery at its jittered
+/// backoff time, gated by the tenant's token bucket and the request's
+/// absolute deadline.
+struct RetryLoop<'p> {
+    policy: &'p RetryPolicy,
+    rng: StdRng,
+    budgets: BTreeMap<TenantId, RetryBudget>,
+    /// Scheduled re-deliveries keyed by (due time, insertion seq), so
+    /// same-instant retries pop in schedule order.
+    queue: BTreeMap<(u64, u64), (Request, u32)>,
+    seq: u64,
+    stats: RetryStats,
+}
+
+impl<'p> RetryLoop<'p> {
+    fn new(policy: &'p RetryPolicy) -> Self {
+        RetryLoop {
+            policy,
+            rng: StdRng::seed_from_u64(policy.seed),
+            budgets: BTreeMap::new(),
+            queue: BTreeMap::new(),
+            seq: 0,
+            stats: RetryStats::default(),
         }
     }
-}
 
-/// Execute one controller tick inside the simulator's interleaved loop:
-/// advance every *live* node (the shard topology, id order) to the tick
-/// instant, sample its control tap, ask the controller for actions, and
-/// apply them with the same primitives an operator would use —
-/// [`execute_migration`] for tenant moves, router add/remove for
-/// join/drain, an engine brownout floor for nudges. The live ingest
-/// feeder performs identical steps at the same logical instants, which
-/// is what makes controller decisions (and the migration records they
-/// produce) bit-identical across backends under replay.
-#[allow(clippy::too_many_arguments)]
-fn execute_control_tick(
-    ctxs: &mut [NodeCtx<'_>],
-    index: &BTreeMap<NodeId, usize>,
-    assignments: &mut BTreeMap<TenantId, (NodeId, String)>,
-    shard_router: &mut ShardRouter,
-    controller: &mut FleetController,
-    traffic: &mut TrafficLedger,
-    records: &mut Vec<MigrationRecord>,
-    max_total_pending: usize,
-    at_us: u64,
-) {
-    // Sample the live topology in id order. Dead nodes already left the
-    // router; standby nodes have not entered it — neither is sampled,
-    // so the controller can only ever see (and target) online nodes.
-    let active: Vec<ShardNode> = shard_router.nodes().to_vec();
-    let mut snapshots = Vec::with_capacity(active.len());
-    for node in &active {
-        let ctx = &mut ctxs[index[&node.id]];
-        ctx.engine.run_timers_through(ctx.plane, at_us, true);
-        snapshots.push((node.id, ctx.engine.take_control_sample(ctx.plane)));
+    /// Deliver `request` (`attempt` = retries it already consumed) and
+    /// turn a transient shed into a scheduled re-delivery.
+    fn deliver<P: FleetPort>(
+        &mut self,
+        fleet: &mut FleetCoordinator<'_>,
+        port: &mut P,
+        request: &Request,
+        attempt: u32,
+    ) {
+        let now_us = request.arrival_us;
+        match fleet.deliver(port, request) {
+            None => {
+                if attempt > 0 {
+                    self.stats.succeeded += 1;
+                }
+            }
+            Some(reason) if retryable(reason) => {
+                let budget = self
+                    .budgets
+                    .entry(request.tenant)
+                    .or_insert_with(|| RetryBudget::new(self.policy, now_us));
+                let next = attempt + 1;
+                match schedule_retry(self.policy, budget, request, next, now_us, &mut self.rng) {
+                    RetryDecision::At(at) => {
+                        let mut again = request.clone();
+                        // Keep the *absolute* deadline: the clock does not
+                        // restart because we retried.
+                        again.deadline_us = request.deadline_abs_us() - at;
+                        again.arrival_us = at;
+                        self.queue.insert((at, self.seq), (again, next));
+                        self.seq += 1;
+                        self.stats.scheduled += 1;
+                    }
+                    RetryDecision::AttemptsExhausted => self.stats.attempts_exhausted += 1,
+                    RetryDecision::DeadlineExceeded => self.stats.deadline_denied += 1,
+                    RetryDecision::BudgetExhausted => self.stats.budget_denied += 1,
+                }
+            }
+            Some(_) => {}
+        }
     }
-    let actions = {
-        let view = ControllerView {
-            active: &active,
-            assignments: &*assignments,
-            max_total_pending,
-        };
-        controller.tick(at_us, &snapshots, &view, traffic)
-    };
-    for action in actions {
-        match action {
-            ControlAction::Brownout { node, floor } => {
-                ctxs[index[&node]].engine.set_brownout_floor(floor);
+
+    /// Re-deliver every retry due at or before `until_us`, in due order
+    /// (including retries those re-deliveries schedule in the window).
+    fn redeliver_through<P: FleetPort>(
+        &mut self,
+        fleet: &mut FleetCoordinator<'_>,
+        port: &mut P,
+        until_us: u64,
+    ) {
+        while let Some(entry) = self.queue.first_entry() {
+            if entry.key().0 > until_us {
+                break;
             }
-            ControlAction::Migrate { tenant, to, .. } => {
-                records.push(execute_migration(
-                    ctxs,
-                    index,
-                    assignments,
-                    shard_router,
-                    &crate::controller::spec_of(tenant, to, at_us),
-                    at_us,
-                ));
-            }
-            ControlAction::Join {
-                node,
-                weight,
-                moves,
-            } => {
-                shard_router.add_node(ShardNode { id: node, weight });
-                for (tenant, dest) in moves {
-                    records.push(execute_migration(
-                        ctxs,
-                        index,
-                        assignments,
-                        shard_router,
-                        &crate::controller::spec_of(tenant, dest, at_us),
-                        at_us,
-                    ));
-                }
-            }
-            ControlAction::Drain { node, moves } => {
-                for (tenant, dest) in moves {
-                    records.push(execute_migration(
-                        ctxs,
-                        index,
-                        assignments,
-                        shard_router,
-                        &crate::controller::spec_of(tenant, dest, at_us),
-                        at_us,
-                    ));
-                }
-                shard_router.remove_node(node);
-            }
+            let (again, attempt) = entry.remove();
+            self.deliver(fleet, port, &again, attempt);
         }
     }
 }
@@ -1115,16 +1122,61 @@ impl ServeFabric {
 
     /// The interleaved multi-node replay loop behind [`ServeFabric::run`],
     /// [`ServeFabric::run_migrating`] and
-    /// [`ServeFabric::run_with_retries`]: one event cursor drives every
-    /// node's engine, cross-node triggers (injected crashes, scheduled
-    /// migrations) fire in stream position, and an optional retry policy
-    /// re-delivers transient sheds at their backoff times.
+    /// [`ServeFabric::run_with_retries`]: the fleet coordinator fires
+    /// cross-node events (injected crashes, scheduled migrations,
+    /// controller ticks) in stream position over the simulator's port,
+    /// and an optional retry policy re-delivers transient sheds at their
+    /// backoff times.
     fn run_interleaved(
         &mut self,
         stream: &[Request],
         specs: &[MigrationSpec],
         retry: Option<&RetryPolicy>,
     ) -> Result<(FabricReport, Vec<MigrationRecord>, RetryStats), ServeError> {
+        let refunded_before = self.refunded_total();
+        let engines = EngineSpec {
+            control_tap: self.controller_cfg.enabled,
+            ..self.engine_spec()
+        };
+        let (nodes, mut fleet) = self.begin_run(specs)?;
+        let mut port = SimPort::new(nodes, &engines);
+        let mut retries = retry.map(RetryLoop::new);
+        for request in stream {
+            fleet.advance(&mut port, request.arrival_us);
+            match &mut retries {
+                Some(retries) => {
+                    // Re-deliveries due at or before this arrival go
+                    // first (they were shed earlier in stream time).
+                    retries.redeliver_through(&mut fleet, &mut port, request.arrival_us);
+                    retries.deliver(&mut fleet, &mut port, request, 0);
+                }
+                None => {
+                    fleet.deliver(&mut port, request);
+                }
+            }
+        }
+        fleet.finish(&mut port, stream.last().map_or(0, |r| r.arrival_us));
+        if let Some(retries) = &mut retries {
+            // Drain re-deliveries scheduled past the last arrival.
+            retries.redeliver_through(&mut fleet, &mut port, u64::MAX);
+        }
+        let per_node = port.finish();
+        let (records, control) = fleet.into_parts();
+        let retry_stats = retries.map_or_else(RetryStats::default, |r| r.stats);
+        Ok((
+            self.assemble_report(per_node, refunded_before, control),
+            records,
+            retry_stats,
+        ))
+    }
+
+    /// Validate a run and split the fabric for it: the nodes (for a
+    /// backend's [`FleetPort`]) and a [`FleetCoordinator`] over the
+    /// routing state that fires `specs` and the fault plan's crashes.
+    pub(crate) fn begin_run(
+        &mut self,
+        specs: &[MigrationSpec],
+    ) -> Result<(&mut [FabricNode], FleetCoordinator<'_>), ServeError> {
         for spec in specs {
             if !self.assignments.contains_key(&spec.tenant) {
                 return Err(ServeError::UnknownTenant(spec.tenant));
@@ -1137,321 +1189,33 @@ impl ServeFabric {
         if self.nodes.iter().any(|n| n.plane.family_names().is_empty()) {
             return Err(ServeError::NoFamilies);
         }
-        let refunded_before: u64 = self.refunded_total();
-        let serve_cfg = self.serve_cfg.clone();
-        let observe_cfg = self.observe_cfg.clone();
-        let fault_plan = self.fault_plan.clone();
-        let load_factor = self.load_factor;
-        let triggers = merge_triggers(&fault_plan, specs);
-        let mut records: Vec<MigrationRecord> = Vec::with_capacity(specs.len());
-        let mut retry_stats = RetryStats::default();
-        // The controller runs on the fabric's logical clock: ticks at
-        // k·interval interleave with the trigger sequence (triggers win
-        // ties, so an operator event at a tick instant lands first on
-        // both backends). Disabled, no tap is armed and no ticks fire.
-        let controller_on = self.controller_cfg.enabled;
-        let mut controller = FleetController::new(
-            self.controller_cfg.clone(),
-            std::mem::take(&mut self.standby),
-        );
-        let tick_interval = controller.config().interval_us.max(1);
-        let mut next_tick = tick_interval;
-        let max_total_pending = serve_cfg.gateway.max_total_pending;
-
-        let per_node: Vec<(NodeId, ServeStats)> = {
-            let ServeFabric {
-                shard_router,
-                nodes,
-                assignments,
-                traffic,
-                ..
-            } = self;
-            let mut ctxs: Vec<NodeCtx> = nodes
-                .iter_mut()
-                .map(|node| {
-                    let FabricNode {
-                        id,
-                        plane,
-                        telemetry,
-                    } = node;
-                    let mut engine = ServeEngine::new(serve_cfg.clone(), Some(&*telemetry));
-                    if observe_cfg.enabled {
-                        engine.set_observer(Some(Box::new(NodeObserver::new(
-                            *id,
-                            observe_cfg.clone(),
-                        ))));
-                    }
-                    // The simulator never arms dispatch panics: a panic in
-                    // this single-threaded loop would kill the whole run
-                    // instead of one worker.
-                    engine.set_faults(NodeFaults::for_node(&fault_plan, *id, false));
-                    engine.set_control_tap(controller_on);
-                    NodeCtx {
-                        id: *id,
-                        plane,
-                        engine,
-                    }
-                })
-                .collect();
-            let index: BTreeMap<NodeId, usize> =
-                ctxs.iter().enumerate().map(|(i, c)| (c.id, i)).collect();
-            let mut dead: BTreeSet<NodeId> = BTreeSet::new();
-
-            // Retry machinery (inert without a policy): scheduled
-            // re-deliveries keyed by (due time, insertion seq) so
-            // same-instant retries pop in schedule order.
-            let mut rng = retry.map(|p| StdRng::seed_from_u64(p.seed));
-            let mut budgets: BTreeMap<TenantId, RetryBudget> = BTreeMap::new();
-            let mut retry_queue: BTreeMap<(u64, u64), (Request, u32)> = BTreeMap::new();
-            let mut retry_seq: u64 = 0;
-
-            // One delivery: route to the home node, advance it to the
-            // delivery instant, admit-or-shed, and (with a policy) turn a
-            // transient shed into a scheduled re-delivery. `attempt` is
-            // the number of retries this request already consumed.
-            let mut deliver = |request: &Request,
-                               attempt: u32,
-                               ctxs: &mut [NodeCtx<'_>],
-                               assignments: &BTreeMap<TenantId, (NodeId, String)>,
-                               shard_router: &ShardRouter,
-                               retry_queue: &mut BTreeMap<(u64, u64), (Request, u32)>,
-                               retry_seq: &mut u64| {
-                // Route at processing time (assignments move mid-stream).
-                // Unknown tenants are still routed (by the same hash) so
-                // the owning gateway records the denial, exactly like one
-                // node handling an unprovisioned key; the admission-time
-                // copy inside the engine stays the only per-request clone.
-                let home = match assignments.get(&request.tenant) {
-                    Some((node, _)) => *node,
-                    None => shard_router.assign(request.tenant, &request.model),
-                };
-                let ctx = &mut ctxs[index[&home]];
-                ctx.engine
-                    .run_timers_through(ctx.plane, request.arrival_us, true);
-                let shed = ctx.engine.on_arrival(ctx.plane, request);
-                let (Some(policy), Some(rng)) = (retry, rng.as_mut()) else {
-                    return;
-                };
-                let now_us = request.arrival_us;
-                match shed {
-                    None => {
-                        if attempt > 0 {
-                            retry_stats.succeeded += 1;
-                        }
-                    }
-                    Some(reason) if retryable(reason) => {
-                        let budget = budgets
-                            .entry(request.tenant)
-                            .or_insert_with(|| RetryBudget::new(policy, now_us));
-                        match schedule_retry(policy, budget, request, attempt + 1, now_us, rng) {
-                            RetryDecision::At(at) => {
-                                let mut again = request.clone();
-                                // Keep the *absolute* deadline: the clock
-                                // does not restart because we retried.
-                                again.deadline_us = request.deadline_abs_us() - at;
-                                again.arrival_us = at;
-                                retry_queue.insert((at, *retry_seq), (again, attempt + 1));
-                                *retry_seq += 1;
-                                retry_stats.scheduled += 1;
-                            }
-                            RetryDecision::AttemptsExhausted => {
-                                retry_stats.attempts_exhausted += 1;
-                            }
-                            RetryDecision::DeadlineExceeded => {
-                                retry_stats.deadline_denied += 1;
-                            }
-                            RetryDecision::BudgetExhausted => {
-                                retry_stats.budget_denied += 1;
-                            }
-                        }
-                    }
-                    Some(_) => {}
-                }
-            };
-
-            let mut pending = triggers.into_iter().peekable();
-            for request in stream {
-                loop {
-                    let trig_at = pending
-                        .peek()
-                        .map(|(at, _)| *at)
-                        .filter(|at| *at <= request.arrival_us);
-                    let tick_at =
-                        (controller_on && next_tick <= request.arrival_us).then_some(next_tick);
-                    let fire_trigger = match (trig_at, tick_at) {
-                        (Some(t), Some(k)) => t <= k, // triggers win ties
-                        (Some(_), None) => true,
-                        (None, Some(_)) => false,
-                        (None, None) => break,
-                    };
-                    if !fire_trigger {
-                        execute_control_tick(
-                            &mut ctxs,
-                            &index,
-                            assignments,
-                            shard_router,
-                            &mut controller,
-                            traffic,
-                            &mut records,
-                            max_total_pending,
-                            next_tick,
-                        );
-                        next_tick += tick_interval;
-                        continue;
-                    }
-                    let (at_us, trigger) = pending.next().expect("peeked");
-                    match trigger {
-                        FleetTrigger::Crash { node } => execute_crash(
-                            &mut ctxs,
-                            &index,
-                            assignments,
-                            shard_router,
-                            traffic,
-                            &mut dead,
-                            load_factor,
-                            node,
-                            at_us,
-                        ),
-                        FleetTrigger::Migrate(spec) if dead.contains(&spec.to) => {
-                            // The destination died before the trigger: the
-                            // migration never starts (both backends freeze
-                            // the record at Planned).
-                            let (from, _) = assignments[&spec.tenant];
-                            records.push(MigrationRecord::planned(spec, from, at_us));
-                        }
-                        FleetTrigger::Migrate(spec) => {
-                            records.push(execute_migration(
-                                &mut ctxs,
-                                &index,
-                                assignments,
-                                shard_router,
-                                spec,
-                                at_us,
-                            ));
-                        }
-                    }
-                }
-                // Re-deliveries due at or before this arrival go first
-                // (they were shed earlier in stream time).
-                while let Some((&(at, seq), _)) = retry_queue.iter().next() {
-                    if at > request.arrival_us {
-                        break;
-                    }
-                    let (again, attempt) = retry_queue.remove(&(at, seq)).expect("peeked");
-                    deliver(
-                        &again,
-                        attempt,
-                        &mut ctxs,
-                        assignments,
-                        shard_router,
-                        &mut retry_queue,
-                        &mut retry_seq,
-                    );
-                }
-                deliver(
-                    request,
-                    0,
-                    &mut ctxs,
-                    assignments,
-                    shard_router,
-                    &mut retry_queue,
-                    &mut retry_seq,
-                );
-            }
-            // Triggers past the last arrival execute at end of stream —
-            // the drain instant is the stream's final timestamp, not the
-            // (possibly far-future) trigger, so timer replay stays
-            // bounded and the record shows when the move really happened.
-            let end_us = stream.last().map_or(0, |r| r.arrival_us);
-            for (_, trigger) in pending {
-                match trigger {
-                    FleetTrigger::Crash { node } => execute_crash(
-                        &mut ctxs,
-                        &index,
-                        assignments,
-                        shard_router,
-                        traffic,
-                        &mut dead,
-                        load_factor,
-                        node,
-                        end_us,
-                    ),
-                    FleetTrigger::Migrate(spec) if dead.contains(&spec.to) => {
-                        let (from, _) = assignments[&spec.tenant];
-                        records.push(MigrationRecord::planned(spec, from, end_us));
-                    }
-                    FleetTrigger::Migrate(spec) => {
-                        records.push(execute_migration(
-                            &mut ctxs,
-                            &index,
-                            assignments,
-                            shard_router,
-                            spec,
-                            end_us,
-                        ));
-                    }
-                }
-            }
-            // Drain re-deliveries scheduled past the last arrival.
-            while let Some((&key, _)) = retry_queue.iter().next() {
-                let (again, attempt) = retry_queue.remove(&key).expect("peeked");
-                deliver(
-                    &again,
-                    attempt,
-                    &mut ctxs,
-                    assignments,
-                    shard_router,
-                    &mut retry_queue,
-                    &mut retry_seq,
-                );
-            }
-            ctxs.into_iter()
-                .map(|ctx| {
-                    let NodeCtx { id, plane, engine } = ctx;
-                    (id, engine.finish(plane))
-                })
-                .collect()
+        let state = FleetState {
+            shard_router: &mut self.shard_router,
+            assignments: &mut self.assignments,
+            traffic: &mut self.traffic,
+            standby: &mut self.standby,
         };
-        // Topology changes persist: drained nodes returned to standby,
-        // joined nodes stay in the router.
-        let (control, standby) = controller.into_parts();
-        self.standby = standby;
-        Ok((
-            self.assemble_report(per_node, refunded_before, control),
-            records,
-            retry_stats,
-        ))
+        let fleet = FleetCoordinator::new(
+            state,
+            &self.controller_cfg,
+            &self.fault_plan,
+            specs,
+            self.load_factor,
+            self.serve_cfg.gateway.max_total_pending,
+        );
+        Ok((&mut self.nodes, fleet))
     }
 
-    /// Run an arrival-ordered stream through the fabric's wall-clock
-    /// backend ([`crate::exec`]): one OS thread per node behind bounded
-    /// ingest queues. In [`crate::ExecMode::Replay`] the returned fleet
-    /// report is bit-identical to [`ServeFabric::run`] on the same
-    /// stream; the wall-clock side of the [`crate::LiveReport`] measures
-    /// the real threaded pipeline.
-    pub fn run_live(
-        &mut self,
-        stream: &[Request],
-        cfg: &crate::exec::ExecConfig,
-    ) -> Result<crate::exec::LiveReport, ServeError> {
-        crate::exec::run_fabric_live(self, stream, cfg)
-    }
-
-    /// Run a stream on the wall-clock backend while executing scheduled
-    /// live migrations across the running node *threads*: the ingest
-    /// feeder coordinates the drain/handoff over the nodes' bounded
-    /// queues (control entries ride in stream position), so accounts and
-    /// spliced work move between live threads without stopping traffic.
-    /// In [`crate::ExecMode::Replay`] both the fleet report and the
-    /// migration records are bit-identical to
-    /// [`ServeFabric::run_migrating`] on the same stream and specs.
-    pub fn run_live_migrating(
-        &mut self,
-        stream: &[Request],
-        cfg: &crate::exec::ExecConfig,
-        specs: &[MigrationSpec],
-    ) -> Result<(crate::exec::LiveReport, Vec<MigrationRecord>), ServeError> {
-        crate::exec::run_fabric_live_migrating(self, stream, cfg, specs)
+    /// The node-engine recipe for a run of this fabric, every tap off.
+    pub(crate) fn engine_spec(&self) -> EngineSpec {
+        EngineSpec {
+            serve: self.serve_cfg.clone(),
+            observe: self.observe_cfg.clone(),
+            fault: self.fault_plan.clone(),
+            allow_panics: false,
+            control_tap: false,
+            completion_tap: false,
+        }
     }
 
     /// Merge per-node accumulators into the fleet report — shared by the
@@ -1526,25 +1290,16 @@ impl ServeFabric {
         }
     }
 
-    /// Disjoint borrows for the live executor: mutable nodes (one per
-    /// worker thread) alongside the routing state the ingest feeder owns
-    /// for the duration of the run (mutable so migrations can flip and
-    /// pin assignments mid-stream).
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn split_live(
+    /// The nodes alongside the routing state, for drivers that route
+    /// but never re-home a tenant (the closed-loop drivers).
+    pub(crate) fn split_routing(
         &mut self,
     ) -> (
         &mut [FabricNode],
-        &mut ShardRouter,
-        &mut BTreeMap<TenantId, (NodeId, String)>,
-        &mut TrafficLedger,
+        &ShardRouter,
+        &BTreeMap<TenantId, (NodeId, String)>,
     ) {
-        (
-            &mut self.nodes,
-            &mut self.shard_router,
-            &mut self.assignments,
-            &mut self.traffic,
-        )
+        (&mut self.nodes, &self.shard_router, &self.assignments)
     }
 
     /// The fleet-controller policy in force.
@@ -1566,18 +1321,6 @@ impl ServeFabric {
         &self.traffic
     }
 
-    /// Take the standby pool for the duration of a run (the live
-    /// backend hands it to its controller); restore with
-    /// [`ServeFabric::restore_standby`].
-    pub(crate) fn take_standby(&mut self) -> Vec<ShardNode> {
-        std::mem::take(&mut self.standby)
-    }
-
-    /// Store the (possibly changed) standby pool back after a run.
-    pub(crate) fn restore_standby(&mut self, standby: Vec<ShardNode>) {
-        self.standby = standby;
-    }
-
     /// The per-node serving configuration every node runs.
     #[must_use]
     pub fn serve_config(&self) -> &ServeConfig {
@@ -1596,15 +1339,9 @@ impl ServeFabric {
         &self.fault_plan
     }
 
-    /// The bounded-load factor placements (including crash evacuations)
-    /// run under.
-    pub(crate) fn load_factor(&self) -> f64 {
-        self.load_factor
-    }
-
     /// Reject fault plans that reference unknown nodes or would crash the
-    /// whole fleet (shared by both backends before a run starts).
-    pub(crate) fn validate_fault_plan(&self) -> Result<(), ServeError> {
+    /// whole fleet (checked before every coordinated run starts).
+    fn validate_fault_plan(&self) -> Result<(), ServeError> {
         let mut crashed = BTreeSet::new();
         for (node, _) in self.fault_plan.crashes() {
             if !self.nodes.iter().any(|n| n.id == node) {

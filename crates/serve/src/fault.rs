@@ -277,8 +277,7 @@ pub(crate) struct FailoverPackage {
 /// degrades to the old tenant-count measure exactly. `shard` must
 /// already have the dead node removed (which also dropped its pins). A
 /// pure function of (topology, assignments, ledger, load factor), so
-/// the sim loop and the live feeder compute identical placements — the
-/// parity of crash recovery rests on this.
+/// a crash re-homes every account identically on both backends.
 pub(crate) fn plan_evacuation(
     shard: &ShardRouter,
     assignments: &BTreeMap<TenantId, (NodeId, String)>,

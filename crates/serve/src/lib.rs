@@ -53,6 +53,7 @@ pub mod cache;
 pub mod clock;
 pub mod closedloop;
 pub mod controller;
+mod coordinator;
 pub mod exec;
 pub mod fabric;
 pub mod fault;

@@ -30,7 +30,8 @@ use std::collections::BTreeMap;
 use tinymlops_serve::testkit::{assert_conservation, assert_sim_live_parity, test_fabric};
 use tinymlops_serve::{
     ControlAction, ControlRecord, ControllerConfig, FabricConfig, FaultEvent, FaultKind, FaultPlan,
-    GatewayConfig, LoadPlan, MigrationSpec, NodeId, Request, ServeConfig, ServeFabric, TenantSpec,
+    GatewayConfig, LoadPlan, MigrationPhase, MigrationSpec, NodeId, Request, ServeConfig,
+    ServeFabric, TenantSpec,
 };
 
 const PREPAID: u64 = 1_000_000_000;
@@ -345,6 +346,61 @@ fn controller_never_targets_an_offline_node() {
         }
     }
     assert_cooldowns(&outcome.report.control, &cfg.controller);
+    assert_conservation(
+        &outcome.sim,
+        &outcome.report,
+        stream.len() as u64,
+        u64::from(8u32) * PREPAID,
+    );
+
+    // Same-instant ordering, pinned across backends: the crash, two
+    // scheduled migrations and a controller tick (interval 100 ms) all
+    // fall on `crash_at`, and one more migration triggers after the last
+    // arrival. The crash fires first (crashes win trigger ties, triggers
+    // win tick ties), so the move onto the dead node freezes at Planned;
+    // the late trigger executes at the stream's final timestamp.
+    let end_us = stream.last().expect("non-empty stream").arrival_us;
+    let late_us = end_us + 1_000_000;
+    let specs = [
+        MigrationSpec {
+            tenant: 2,
+            to: 1,
+            trigger_us: crash_at,
+        },
+        MigrationSpec {
+            tenant: 3,
+            to: 2,
+            trigger_us: crash_at,
+        },
+        MigrationSpec {
+            tenant: 4,
+            to: 0,
+            trigger_us: late_us,
+        },
+    ];
+    let outcome = assert_sim_live_parity(
+        || {
+            let mut f = test_fabric(&cfg, 24, 3);
+            f.provision(&base);
+            f
+        },
+        &stream,
+        &specs,
+    );
+    let frozen = outcome
+        .records
+        .iter()
+        .find(|r| r.tenant == 2 && r.to == 1 && r.trigger_us == crash_at)
+        .expect("the migration onto the crashing node is recorded");
+    assert_eq!(frozen.phase, MigrationPhase::Planned);
+    let late = outcome
+        .records
+        .iter()
+        .find(|r| r.trigger_us == late_us)
+        .expect("the late trigger fires at end of stream");
+    assert_eq!(late.handoff_us, end_us);
+    assert_eq!(late.phase, MigrationPhase::Resumed);
+    assert_eq!(outcome.sim.home_node(4), Some(0));
     assert_conservation(
         &outcome.sim,
         &outcome.report,

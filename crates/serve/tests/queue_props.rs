@@ -12,14 +12,21 @@
 //! still racing the teardown — the regression the exec layer guards
 //! against, generalized over seeds and schedules.
 //!
+//! A stress case pins liveness under sustained one-to-one handoff: a
+//! single producer and a single consumer move three million items
+//! through a 256-slot ring, and a watchdog turns two seconds without
+//! progress into a test failure instead of a hung test run.
+//!
 //! The closed-loop contract: [`ServeFabric::run_closed_loop`] is a pure
 //! function of its plan — same seed, same population, bit-identical
 //! trace, client stats and fleet report, for arbitrary populations,
 //! think times and windows.
 
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::thread;
+use std::time::{Duration, Instant};
 use tinymlops_serve::{
     ClientPlan, ClientSpec, FabricConfig, IngestQueue, LoadPlan, RetryPolicy, TenantSpec,
 };
@@ -242,4 +249,58 @@ proptest! {
         prop_assert_eq!(a.clients.served + a.clients.shed_final, a.clients.issued);
         prop_assert_eq!(a.clients.lost, 0);
     }
+}
+
+/// Liveness under sustained one-to-one handoff. A lost wake-up leaves
+/// the consumer parked on a ring the producer has filled while the
+/// producer parks too; both then sleep forever. The watchdog detects two
+/// seconds without a pop, records the stall and closes the queue, which
+/// releases both sides so the test fails instead of hanging.
+#[test]
+fn single_pair_handoff_never_stalls() {
+    const ITEMS: u64 = 3_000_000;
+    const STALL: Duration = Duration::from_secs(2);
+    let queue = IngestQueue::<u64>::new(256);
+    let popped = AtomicU64::new(0);
+    let done = AtomicBool::new(false);
+    let stalled = AtomicBool::new(false);
+    thread::scope(|scope| {
+        scope.spawn(|| {
+            for item in 0..ITEMS {
+                if !queue.push(item) {
+                    break; // closed by the watchdog
+                }
+            }
+        });
+        scope.spawn(|| {
+            let mut seen = 0;
+            let mut since = Instant::now();
+            while !done.load(Ordering::Relaxed) {
+                thread::sleep(Duration::from_millis(20));
+                let now = popped.load(Ordering::Relaxed);
+                if now != seen {
+                    seen = now;
+                    since = Instant::now();
+                } else if since.elapsed() >= STALL {
+                    stalled.store(true, Ordering::Relaxed);
+                    queue.close();
+                    return;
+                }
+            }
+        });
+        for expected in 0..ITEMS {
+            match queue.pop() {
+                Some(item) => assert_eq!(item, expected, "FIFO order preserved"),
+                None => break,
+            }
+            popped.store(expected + 1, Ordering::Relaxed);
+        }
+        done.store(true, Ordering::Relaxed);
+    });
+    assert!(
+        !stalled.load(Ordering::Relaxed),
+        "handoff stalled for {STALL:?} after {} of {ITEMS} items",
+        popped.load(Ordering::Relaxed)
+    );
+    assert_eq!(popped.load(Ordering::Relaxed), ITEMS);
 }

@@ -45,6 +45,9 @@ if run_stage test; then
     cargo test -q
     banner "workspace tests"
     cargo test --workspace -q
+    # Timing-dependent queue liveness: reproduced only in release builds.
+    banner "ingest-queue properties (release)"
+    cargo test --release -p tinymlops_serve --test queue_props
 fi
 
 if run_stage docs; then
